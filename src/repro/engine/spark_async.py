@@ -15,6 +15,18 @@ in-edges joined with the *current* global states:
 That is exactly Eq. 2 for **any** ``n_blocks`` — block count only sets
 the dataflow granularity (tests assert block-count invariance and
 parity with the local reference engine, including round counts).
+
+Dataflow. The state frame carries every per-vertex column the kernel
+needs: ``vid, blk, pos, base, fixed, val, d``. The edges are split by
+the block of their destination once, at set-up. A block then costs one
+shuffle join, on edge sources: its edge rows pick up their source's
+current ``val``. The block's own vertex rows are
+``states.where(blk == b)``; they still hold the round-start value,
+because only block ``b`` writes them. One ``applyInPandas`` over the
+union of both returns the block's vertex rows with the new ``val`` and
+the vertex's change ``d``, which replace the block's rows in the
+checkpointed state frame. A vertex is swept once per round, so the
+round's delta is one ``max(d)`` over the states after the last block.
 """
 from __future__ import annotations
 
@@ -29,6 +41,10 @@ from repro.engine.algorithms import effective_graph, make_algo
 from repro.engine.kernels import gs_sweep
 from repro.engine.reference import RunResult
 from repro.graphs.local import LocalGraph
+from repro.reorder.api import assert_permutation
+
+_STATE_SCHEMA = "vid long, blk long, pos long, base double, fixed double, val double, d double"
+_STATE_COLS = [c.split()[0] for c in _STATE_SCHEMA.split(", ")]
 
 
 def run_async_spark(
@@ -42,124 +58,114 @@ def run_async_spark(
     max_rounds: int = 300,
 ) -> RunResult:
     """Run Eq. 2 under ``positions`` to convergence."""
+    if n_blocks < 1:
+        raise ValueError(f"n_blocks must be at least 1, got {n_blocks}")
+    assert_permutation(positions, g.n)
     t0 = time.perf_counter()
     algo = make_algo(algo_name)
     prep = algo.prepare(g, source)
     eg = effective_graph(g, prep)
     kind = prep.kind
 
-    block = (positions.astype(np.int64) * n_blocks) // g.n
+    pos = np.asarray(positions).astype(np.int64)
+    block = (pos * n_blocks) // g.n
     fixed_vals = np.full(g.n, np.nan)
     for v, fv in prep.fixed.items():
         fixed_vals[v] = fv
 
-    vert_pdf = pd.DataFrame(
-        {
-            "blk": block,
-            "role": 0,
-            "vid": np.arange(g.n, dtype=np.int64),
-            "pos": positions.astype(np.int64),
-            "base": prep.base,
-            "fixed": fixed_vals,
-            "src": -1,
-            "param": 0.0,
-        }
-    )
-    edge_pdf = pd.DataFrame(
-        {
-            "blk": block[eg.dst],
-            "role": 1,
-            "vid": eg.dst,
-            "pos": 0,
-            "base": 0.0,
-            "fixed": np.nan,
-            "src": eg.src,
-            "param": prep.param,
-        }
-    )
-    static = spark.createDataFrame(
-        pd.concat([vert_pdf, edge_pdf], ignore_index=True)
+    edge_pdf = pd.DataFrame({"src": eg.src, "dst": eg.dst, "param": prep.param})
+    edge_blk = block[eg.dst]
+    block_edges = [
+        spark.createDataFrame(
+            edge_pdf[edge_blk == b], "src long, dst long, param double"
+        ).localCheckpoint(eager=True)
+        for b in range(n_blocks)
+    ]
+    states = spark.createDataFrame(
+        pd.DataFrame(
+            {
+                "vid": np.arange(g.n, dtype=np.int64),
+                "blk": block,
+                "pos": pos,
+                "base": prep.base,
+                "fixed": fixed_vals,
+                "val": prep.init,
+                "d": 0.0,
+            }
+        ),
+        _STATE_SCHEMA,
     ).localCheckpoint(eager=True)
+    # the union below adds the applyInPandas output's partitions to the
+    # states' own; without the coalesce the count grows with every block
+    n_parts = spark.sparkContext.defaultParallelism
 
     def _block_fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        verts = pdf[pdf["role"] == 0].sort_values("pos")
-        edges = pdf[pdf["role"] == 1]
-        order_vids = verts["vid"].astype(int).tolist()
-        prev_vals = dict(zip(verts["vid"].astype(int), verts["cur_val"].astype(float)))
-        base = dict(zip(verts["vid"].astype(int), verts["base"].astype(float)))
+        # edge rows: vid = dst, src, param, val = the source's current state;
+        # vertex rows: the block's state rows, src is null
+        is_edge = pdf["src"].notna()
+        edges = pdf[is_edge]
+        verts = pdf[~is_edge].sort_values("pos")
+        order_vids = verts["vid"].tolist()
+        old = verts["val"].to_numpy()
+        prev_vals = dict(zip(order_vids, old.tolist()))
+        base = dict(zip(order_vids, verts["base"].tolist()))
         fixed = {
-            int(v): float(fv)
-            for v, fv in zip(verts["vid"], verts["fixed"])
+            v: fv
+            for v, fv in zip(order_vids, verts["fixed"].tolist())
             if not np.isnan(fv)
         }
         in_edges: dict[int, list[tuple[int, float]]] = {}
         src_vals: dict[int, float] = {}
-        for r in edges.itertuples():
-            in_edges.setdefault(int(r.vid), []).append((int(r.src), float(r.param)))
-            src_vals[int(r.src)] = float(r.src_val)
-        # prev_vals also serve as src_vals for intra-block sources that the
-        # kernel hasn't updated yet (their joined value = round-start value)
-        src_vals.update({v: prev_vals[v] for v in order_vids if v not in src_vals})
+        for v, u, p, xu in zip(
+            edges["vid"].tolist(),
+            edges["src"].astype(np.int64).tolist(),
+            edges["param"].tolist(),
+            edges["val"].tolist(),
+        ):
+            in_edges.setdefault(v, []).append((u, p))
+            src_vals[u] = xu
         out = gs_sweep(order_vids, in_edges, prev_vals, src_vals, kind, base, fixed)
-        return pd.DataFrame({"vid": list(out.keys()), "val": list(out.values())})
-
-    states = spark.createDataFrame(
-        pd.DataFrame(
-            {"vid": np.arange(g.n, dtype=np.int64), "val": prep.init}
-        )
-    ).localCheckpoint(eager=True)
-
-    vid_block = spark.createDataFrame(
-        pd.DataFrame({"vid": np.arange(g.n, dtype=np.int64), "vblk": block})
-    ).localCheckpoint(eager=True)
+        new = np.array([out[v] for v in order_vids], dtype=np.float64)
+        with np.errstate(invalid="ignore"):
+            d = np.abs(new - old)
+        d[new == old] = 0.0  # inf == inf is no change
+        # pos is null on edge rows, so the union hands it over as float
+        return verts.assign(val=new, d=d)[_STATE_COLS].astype({"pos": np.int64})
 
     deltas: list[float] = []
     rounds = 0
     converged = False
     for _ in range(max_rounds):
-        round_start = states
-        for b in range(n_blocks):
-            blk_static = static.where(F.col("blk") == b)
-            # join current state of edge sources and round-start value of verts
-            joined = (
-                blk_static.join(
-                    states.select(
-                        F.col("vid").alias("src"), F.col("val").alias("src_val")
-                    ),
-                    "src",
-                    "left",
-                )
-                .join(
-                    states.select("vid", F.col("val").alias("cur_val")), "vid", "left"
-                )
+        for b, edges_b in enumerate(block_edges):
+            edge_rows = edges_b.join(
+                states.select(F.col("vid").alias("src"), "val"), "src"
+            ).select(
+                F.col("dst").alias("vid"),
+                F.lit(b).cast("long").alias("blk"),
+                "src",
+                "param",
+                "val",
             )
-            updated = joined.groupBy("blk").applyInPandas(
-                _block_fn, "vid long, val double"
+            updated = (
+                states.where(F.col("blk") == b)
+                .unionByName(edge_rows, allowMissingColumns=True)
+                .groupBy("blk")
+                .applyInPandas(_block_fn, _STATE_SCHEMA)
             )
             states = (
-                states.join(vid_block, "vid")
-                .where(F.col("vblk") != b)
-                .select("vid", "val")
+                states.where(F.col("blk") != b)
                 .unionByName(updated)
-            ).localCheckpoint(eager=True)
-        d = (
-            round_start.alias("o")
-            .join(states.alias("n"), "vid")
-            .select(
-                F.when(F.col("o.val") == F.col("n.val"), F.lit(0.0))
-                .otherwise(F.abs(F.col("o.val") - F.col("n.val")))
-                .alias("d")
+                .coalesce(n_parts)
+                .localCheckpoint(eager=True)
             )
-            .agg(F.max("d"))
-            .collect()[0][0]
-        )
+        d = states.agg(F.max("d")).collect()[0][0]
         if d is None or d <= prep.tol:
             converged = True
             break
         deltas.append(float(d))
         rounds += 1
 
-    pdf = states.toPandas().sort_values("vid")
+    pdf = states.select("vid", "val").toPandas().sort_values("vid")
     return RunResult(
         rounds, pdf["val"].to_numpy(), converged, deltas, time.perf_counter() - t0
     )
